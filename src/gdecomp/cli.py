@@ -119,10 +119,6 @@ class _Emitter:
                 print(line)
 
 
-def _set_name(flag: str) -> str:
-    return {"Um": "Um", "UM": "UM"}[flag]
-
-
 def cmd_check(args) -> int:
     A = parse_matrix(_read_input(args.input))
     if args.set == "UM":
@@ -402,14 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="PRNG seed for sampling verbs")
     common.add_argument(
         "--trials", type=int, default=1000, help="sample count for sampling verbs"
-    )
-    common.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        metavar="N",
-        help="thread budget hint (accepted for compatibility; current "
-        "implementation is single-threaded)",
     )
     common.add_argument(
         "--force", action="store_true", help="override enumeration/scan size refusals"

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import (
+    DiagonalOverflowError,
     InternalInvariantViolation,
     NotExtremeError,
     NotMemberError,
@@ -30,13 +31,9 @@ from .matrices import (
     as_fraction,
     canonical_form,
 )
-from .membership import (
-    TOTAL_SUM_MISMATCH,
-    check_Um_bruteforce,
-    check_Um_upper,
-)
+from .membership import TOTAL_SUM_MISMATCH, check_Um_upper
 from .extremity import is_extreme_criterion
-from .saturation import enumerate_saturated
+from .saturation import enumerate_saturated, verdict_and_family
 
 __all__ = [
     "DecompResult",
@@ -104,15 +101,15 @@ def g_decompose(A: SymMatrix, mode: str = "stochastic") -> DecompResult:
         return DecompResult(
             status=NOT_MEMBER, mode=mode, reason=TOTAL_SUM_MISMATCH
         )
-    for i in range(1, m + 1):
-        if A.entry(i, i) > 1:
-            return DecompResult(
-                status=NOT_MEMBER,
-                mode=mode,
-                certificate=IndexSet({i}, m),
-                reason="violating-subset",
-            )
-    net = build_flow_network(A)
+    try:
+        net = build_flow_network(A)
+    except DiagonalOverflowError as exc:
+        return DecompResult(
+            status=NOT_MEMBER,
+            mode=mode,
+            certificate=IndexSet({exc.index}, m),
+            reason="violating-subset",
+        )
     result = max_flow(net)
     if result.value != net.source_capacity_total:
         certificate = IndexSet(result.cut_vertices, m)
@@ -193,7 +190,7 @@ def g_decompose_extreme_inductive(
             certificate=verdict.certificate,
             reason=verdict.reason,
         )
-    if not is_extreme_criterion(A, "UM", cap=cap).extreme:
+    if not is_extreme_criterion(A, "UM", cap=cap, verdict=verdict).extreme:
         raise NotExtremeError("inductive construction needs an extreme input")
     X = tuple(tuple(row) for row in _solve_extreme(A))
     if not verify_decomposition(A, X, "stochastic"):
@@ -210,12 +207,12 @@ def g_decompose_extreme_substochastic(
     result is zero-padded back onto the all-zero rows, which is exactly the
     reduction that carries the stochastic solution to the substochastic case.
     """
-    verdict = check_Um_bruteforce(A, cap=cap)
+    verdict, family = verdict_and_family(A, cap=cap)
     if not verdict.member:
         raise NotMemberError(
             "matrix is not a polytope member", certificate=verdict.certificate
         )
-    report = is_extreme_criterion(A, "Um", cap=cap, verdict=verdict)
+    report = is_extreme_criterion(A, "Um", cap=cap, verdict=verdict, family=family)
     if not report.extreme:
         raise NotExtremeError("inductive construction needs an extreme input")
     form = canonical_form(A, witness=report)

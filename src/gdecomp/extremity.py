@@ -32,11 +32,17 @@ from .matrices import (
     SymMatrix,
 )
 from .membership import (
-    TOTAL_SUM_MISMATCH,
+    _check_cap,
+    _verdict_from_sums,
     check_Um_bruteforce,
     principal_sums_by_mask,
 )
-from .saturation import _min_over_family, enumerate_saturated
+from .saturation import (
+    _family_from_sums,
+    _min_over_family,
+    _require_member,
+    verdict_and_family,
+)
 
 AMBIENTS = ("Um", "UM")  # lower polytope / saturated slice
 
@@ -101,24 +107,6 @@ def _check_ambient(ambient: str):
         raise ValueError("ambient must be one of %r, got %r" % (AMBIENTS, ambient))
 
 
-def _require_member(A, ambient, cap, verdict):
-    if A.m > cap:
-        raise CapExceededError("order %d exceeds the exhaustive cap %d" % (A.m, cap))
-    if verdict is None:
-        verdict = check_Um_bruteforce(A, cap=cap)
-    if not verdict.member:
-        raise NotMemberError(
-            "matrix is not a polytope member; violating subset %s" % verdict.certificate,
-            certificate=verdict.certificate,
-        )
-    if ambient == "UM" and verdict.total_sum != A.m:
-        raise NotMemberError(
-            "total sum %s differs from order %d" % (verdict.total_sum, A.m),
-            reason=TOTAL_SUM_MISMATCH,
-        )
-    return verdict
-
-
 def _fractional_positions(A: SymMatrix):
     return [
         (i, j)
@@ -145,9 +133,7 @@ def is_extreme_criterion(
     saturated family for A (enumeration callers reuse them across tests).
     """
     _check_ambient(ambient)
-    _require_member(A, ambient, cap, verdict)
-    if family is None:
-        family = enumerate_saturated(A)
+    family = _require_member(A, cap, ambient, verdict, family)
 
     positions = _fractional_positions(A)
     neighborhood_map = {}
@@ -217,9 +203,7 @@ def is_extreme_nullspace(
     set of any member, so the same system decides both ambients.
     """
     _check_ambient(ambient)
-    _require_member(A, ambient, cap, verdict)
-    if family is None:
-        family = enumerate_saturated(A)
+    family = _require_member(A, cap, ambient, verdict, family)
 
     positions = [
         (i, j)
@@ -270,18 +254,20 @@ def split_nonextreme(
       exactly one change by +-2*eps0.  For two off-diagonal entries this is
       the plain (+eps0, -eps0) swap.
     """
-    verdict = check_Um_bruteforce(A, cap=cap)
+    m = A.m
+    _check_cap(m, cap)
+    sums, L = principal_sums_by_mask(A.entries)
+    verdict = _verdict_from_sums(A, sums, L)
     if not verdict.member:
         raise NotMemberError(
             "cannot split a non-member", certificate=verdict.certificate
         )
     if report is None:
-        report = is_extreme_criterion(A, "Um", cap=cap, verdict=verdict)
+        report = is_extreme_criterion(
+            A, "Um", cap=cap, verdict=verdict, family=_family_from_sums(sums, L, m)
+        )
     if report.extreme:
         raise IsExtremeError("matrix is extreme; nothing to split")
-
-    m = A.m
-    sums = principal_sums_by_mask(A.entries)
     failure = report.failure
 
     if isinstance(failure, MissingNeighborhood):
@@ -290,14 +276,16 @@ def split_nonextreme(
         value = A.entry(i, j)
         bounds = [value, 1 - value]
         need = _position_mask(i, j)
-        for mask in range(1, 1 << m):
-            if mask & need == need:
-                margin = mask.bit_count() - sums[mask]
-                if margin <= 0:
-                    raise InternalInvariantViolation(
-                        "saturated set found for an entry reported neighborhood-free"
-                    )
-                bounds.append(Fraction(margin, coeff))
+        low = min(
+            L * mask.bit_count() - sums[mask]
+            for mask in range(need, 1 << m)
+            if mask & need == need
+        )
+        if low <= 0:
+            raise InternalInvariantViolation(
+                "saturated set found for an entry reported neighborhood-free"
+            )
+        bounds.append(Fraction(low, coeff * L))
         eps0 = min(bounds) / 2
         plus = _perturb(A, {(i, j): eps0})
         minus = _perturb(A, {(i, j): -eps0})
@@ -313,18 +301,19 @@ def split_nonextreme(
         ]
         need1 = _position_mask(*pos1)
         need2 = _position_mask(*pos2)
-        for mask in range(1, 1 << m):
-            has1 = mask & need1 == need1
-            has2 = mask & need2 == need2
-            if has1 == has2:
-                continue  # sum unchanged by the balanced perturbation
-            margin = mask.bit_count() - sums[mask]
-            if margin <= 0:
-                raise InternalInvariantViolation(
-                    "saturated set contains exactly one of two entries sharing "
-                    "a minimal neighborhood"
-                )
-            bounds.append(Fraction(margin, 2))
+        # subsets holding both positions or neither keep their sum under the
+        # balanced perturbation; a subset holding exactly one always exists
+        low = min(
+            L * mask.bit_count() - sums[mask]
+            for mask in range(1, 1 << m)
+            if (mask & need1 == need1) != (mask & need2 == need2)
+        )
+        if low <= 0:
+            raise InternalInvariantViolation(
+                "saturated set contains exactly one of two entries sharing "
+                "a minimal neighborhood"
+            )
+        bounds.append(Fraction(low, 2 * L))
         eps0 = min(bounds) / 2
         u1 = 2 * eps0 / c1
         u2 = 2 * eps0 / c2
@@ -395,31 +384,41 @@ def enumerate_extreme(m: int, ambient: str = "Um", max_order: int = 4):
         )
     out = []
     for A in grid_matrices(m):
-        verdict = check_Um_bruteforce(A)
+        verdict, family = verdict_and_family(A)
         if not verdict.member:
             continue
         if ambient == "UM" and verdict.total_sum != m:
             continue
-        if is_extreme_criterion(A, ambient, verdict=verdict).extreme:
+        if is_extreme_criterion(A, ambient, verdict=verdict, family=family).extreme:
             out.append(A)
     out.sort(key=lambda M: M.entries)
     return out
 
 
-def _max_step(M: SymMatrix, direction, sums_M) -> Fraction:
-    """Largest t with M + t*direction still a member (direction symmetric)."""
+def _max_step(M: SymMatrix, direction, sign: int, table_M, table_D) -> Fraction:
+    """Largest t with M + sign*t*direction still a member (direction
+    symmetric, sign +-1); table_M and table_D are the principal_sums_by_mask
+    tables of M and of the direction."""
     m = M.m
     bounds = []
     for i in range(m):
         for j in range(i, m):
-            d = direction[i][j]
+            d = sign * direction[i][j]
             if d < 0:
                 bounds.append(M.entries[i][j] / -d)
-    delta_sums = principal_sums_by_mask(direction)
+    sums_M, L_M = table_M
+    delta, L_D = table_D
+    # the tightest subset bound min margin/ds over ds > 0, found by integer
+    # cross-multiplication; in matrix units it is (num / L_M) / (den / L_D)
+    num = den = None
     for mask in range(1, 1 << m):
-        ds = delta_sums[mask]
+        ds = sign * delta[mask]
         if ds > 0:
-            bounds.append((mask.bit_count() - sums_M[mask]) / ds)
+            margin = L_M * mask.bit_count() - sums_M[mask]
+            if num is None or margin * den < num * ds:
+                num, den = margin, ds
+    if num is not None:
+        bounds.append(Fraction(num * L_D, den * L_M))
     if not bounds:
         raise InternalInvariantViolation("unbounded direction in a bounded polytope")
     step = min(bounds)
@@ -462,10 +461,10 @@ def krein_milman_decompose(
             [(plus.entries[i][j] - M.entries[i][j]) / eps0 for j in range(M.m)]
             for i in range(M.m)
         ]
-        neg_direction = [[-v for v in row] for row in direction]
-        sums_M = principal_sums_by_mask(M.entries)
-        t_plus = _max_step(M, direction, sums_M)
-        t_minus = _max_step(M, neg_direction, sums_M)
+        table_M = principal_sums_by_mask(M.entries)
+        table_D = principal_sums_by_mask(direction)
+        t_plus = _max_step(M, direction, 1, table_M, table_D)
+        t_minus = _max_step(M, direction, -1, table_M, table_D)
         high = _shift(M, direction, t_plus)
         low = _shift(M, direction, -t_minus)
         weight_high = t_minus / (t_plus + t_minus)
@@ -520,11 +519,10 @@ def conjecture_scan(m: int, max_order: int = 4) -> ScanReport:
     c2_bad = []
     for A in _scan_candidates(m):
         grid_count += 1
-        verdict = check_Um_bruteforce(A)
+        verdict, family = verdict_and_family(A)
         if not verdict.member:
             continue
         member_count += 1
-        family = enumerate_saturated(A)
         report = is_extreme_criterion(A, "Um", verdict=verdict, family=family)
         on_grid = all(A.entries[i][i] in (ZERO, ONE) for i in range(m))
         halves = [

@@ -80,7 +80,8 @@ def _parse_json_grid(text: str):
     if not isinstance(obj, dict) or "m" not in obj or "entries" not in obj:
         raise ParseError('JSON matrix needs keys "m" and "entries"')
     m = obj["m"]
-    if not isinstance(m, int) or m < 0:
+    # bool is an int subclass: JSON true/false must not pass as 1/0
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ParseError('"m" must be a nonnegative integer')
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != m:
@@ -93,7 +94,7 @@ def _parse_json_grid(text: str):
         for v in row:
             if isinstance(v, str):
                 parsed.append(parse_rational(v))
-            elif isinstance(v, int):
+            elif isinstance(v, int) and not isinstance(v, bool):
                 parsed.append(Fraction(v))
             else:
                 raise ParseError(

@@ -28,8 +28,10 @@ HALF = Fraction(1, 2)
 ONE = Fraction(1)
 ZERO = Fraction(0)
 
-# Exhaustive subset operations refuse orders above this unless told otherwise:
-# 2^m subsets stay enumerable in seconds up to about here.
+# Exhaustive subset operations refuse orders above this unless told otherwise.
+# The principal-sum kernel does one integer addition per subset; at the cap a
+# brute-force check holds two lists of 2^20 ints (about 90 MB) and takes about
+# a third of a second on a 2-core x86 machine with Python 3.11.
 EXHAUSTIVE_CAP = 20
 
 

@@ -11,13 +11,15 @@ cross-checked against each other in the test suite.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import CapExceededError
+from .errors import CapExceededError, DiagonalOverflowError
 from .flow import build_flow_network, max_flow
-from .matrices import EXHAUSTIVE_CAP, IndexSet, SymMatrix, ZERO
+from .matrices import EXHAUSTIVE_CAP, IndexSet, SymMatrix
 
 TOTAL_SUM_MISMATCH = "total-sum-mismatch"
 VIOLATING_SUBSET = "violating-subset"
@@ -49,28 +51,33 @@ def _check_cap(m: int, cap: int):
         )
 
 
-def principal_sums_by_mask(grid) -> list:
-    """Principal sums of a symmetric grid for every bitmask of {1..m}.
+def principal_sums_by_mask(grid) -> tuple:
+    """Principal sums of a symmetric grid for every bitmask of {1..m}, as
+    integers scaled by the common denominator.
 
-    Entry [mask] is sum_{i,j in mask} g_ij (0-based bit k encodes index k+1).
-    Works for any symmetric grid of Fractions, signed or not; used by the
-    membership, saturation, and perturbation machinery.
+    Returns (sums, L): L is the least common multiple of the entry
+    denominators and sums[mask] == L * sum_{i,j in mask} g_ij exactly
+    (0-based bit k encodes index k+1).  Works for any symmetric grid of
+    Fractions or ints, signed or not; used by the membership, saturation, and
+    perturbation machinery.
+
+    Cost: O(m^2) to scale the entries, then one integer addition per mask.
+    Masks are grouped by their highest bit k, so each group is the contiguous
+    range [2^k, 2^(k+1)) and sums[2^k + r] = sums[r] + T_k[r] for r < 2^k,
+    where T_k[r] = L*g_kk + 2L * sum_{j in r} g_kj holds the row-k terms.
+    T_k is built by doubling over the bits below k; all T_k together hold
+    2^m - 1 cells.
     """
-    m = len(grid)
-    sums = [ZERO] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        k = low.bit_length() - 1
-        rest = mask ^ low
-        row = grid[k]
-        cross = ZERO
-        sub = rest
-        while sub:
-            lb = sub & -sub
-            cross += row[lb.bit_length() - 1]
-            sub ^= lb
-        sums[mask] = sums[rest] + row[k] + 2 * cross
-    return sums
+    L = math.lcm(*(v.denominator for row in grid for v in row))
+    sums = [0]
+    for k, row in enumerate(grid):
+        scaled = [v.numerator * (L // v.denominator) for v in row[: k + 1]]
+        tail = [scaled[k]]
+        for j in range(k):
+            c = 2 * scaled[j]
+            tail += [t + c for t in tail] if c else tail
+        sums += [s + t for s, t in zip(sums, tail)]
+    return sums, L
 
 
 def _mask_members(mask: int) -> tuple:
@@ -82,40 +89,49 @@ def _mask_members(mask: int) -> tuple:
     return tuple(members)
 
 
+def _verdict_from_sums(A: SymMatrix, sums: list, L: int) -> MembershipVerdict:
+    """Brute-force verdict from A's scaled principal-sum table.
+
+    The certificate is a violating subset of minimum cardinality, ties broken
+    lexicographically; slack is exact.
+    """
+    total = A.total_sum()
+    if A.m == 0:
+        return MembershipVerdict(True, None, None, total)
+    margins = [L * mask.bit_count() - s for mask, s in enumerate(sums)]
+    low = min(itertools.islice(margins, 1, None))
+    slack = Fraction(low, L)
+    if low >= 0:
+        return MembershipVerdict(True, None, slack, total)
+    best = best_size = best_members = None
+    for mask in [mask for mask, v in enumerate(margins) if v < 0]:
+        size = mask.bit_count()
+        if best is None or size < best_size:
+            best, best_size, best_members = mask, size, None
+        elif size == best_size:
+            if best_members is None:
+                best_members = _mask_members(best)
+            members = _mask_members(mask)
+            if members < best_members:
+                best, best_members = mask, members
+    return MembershipVerdict(
+        False,
+        IndexSet(_mask_members(best), A.m),
+        slack,
+        total,
+        reason=VIOLATING_SUBSET,
+    )
+
+
 def check_Um_bruteforce(A: SymMatrix, cap: int = EXHAUSTIVE_CAP) -> MembershipVerdict:
     """Decide membership by enumerating all nonempty subsets.
 
     The certificate, when one exists, is a violating subset of minimum
     cardinality, ties broken lexicographically; slack is always exact.
     """
-    m = A.m
-    _check_cap(m, cap)
-    total = A.total_sum()
-    if m == 0:
-        return MembershipVerdict(True, None, None, total)
-    sums = principal_sums_by_mask(A.entries)
-    slack = None
-    best_cert = None
-    best_key = None
-    for mask in range(1, 1 << m):
-        size = mask.bit_count()
-        margin = size - sums[mask]
-        if slack is None or margin < slack:
-            slack = margin
-        if margin < 0:
-            key = (size, _mask_members(mask))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_cert = mask
-    if best_cert is None:
-        return MembershipVerdict(True, None, slack, total)
-    return MembershipVerdict(
-        False,
-        IndexSet(_mask_members(best_cert), m),
-        slack,
-        total,
-        reason=VIOLATING_SUBSET,
-    )
+    _check_cap(A.m, cap)
+    sums, L = principal_sums_by_mask(A.entries)
+    return _verdict_from_sums(A, sums, L)
 
 
 def check_Um_mincut(
@@ -133,21 +149,15 @@ def check_Um_mincut(
     total = A.total_sum()
     slack = None
     if exact_slack:
-        _check_cap(m, cap)
-        sums = principal_sums_by_mask(A.entries)
-        slack = min(
-            (mask.bit_count() - sums[mask] for mask in range(1, 1 << m)),
-            default=None,
+        slack = check_Um_bruteforce(A, cap=cap).slack
+
+    try:
+        net = build_flow_network(A)
+    except DiagonalOverflowError as exc:
+        # singleton violation; the network would need a negative capacity
+        return MembershipVerdict(
+            False, IndexSet({exc.index}, m), slack, total, reason=VIOLATING_SUBSET
         )
-
-    for i in range(1, m + 1):
-        if A.entry(i, i) > 1:
-            # singleton violation; the network would need a negative capacity
-            return MembershipVerdict(
-                False, IndexSet({i}, m), slack, total, reason=VIOLATING_SUBSET
-            )
-
-    net = build_flow_network(A)
     result = max_flow(net)
     if result.value == net.source_capacity_total:
         return MembershipVerdict(True, None, slack, total)

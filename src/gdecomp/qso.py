@@ -298,7 +298,8 @@ def parse_operator(text) -> QuadraticOperator:
         raise ParseError('operator JSON needs keys "m" and "layers"')
     m = obj["m"]
     layers_json = obj["layers"]
-    if not isinstance(m, int) or m < 1:
+    # bool is an int subclass: JSON true/false must not pass as 1/0
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ParseError('"m" must be a positive integer')
     if not isinstance(layers_json, list) or len(layers_json) != m:
         raise ParseError('"layers" must hold exactly %d matrices' % m)
@@ -307,6 +308,7 @@ def parse_operator(text) -> QuadraticOperator:
         if (
             not isinstance(layer, dict)
             or layer.get("m") != m
+            or isinstance(layer.get("m"), bool)
             or not isinstance(layer.get("entries"), list)
             or len(layer["entries"]) != m
         ):
@@ -318,7 +320,7 @@ def parse_operator(text) -> QuadraticOperator:
             rows.append(
                 [
                     parse_rational(v) if isinstance(v, str) else Fraction(v)
-                    if isinstance(v, int)
+                    if isinstance(v, int) and not isinstance(v, bool)
                     else _reject_entry(v)
                     for v in row
                 ]

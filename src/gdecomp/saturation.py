@@ -14,7 +14,13 @@ from typing import Optional
 
 from .errors import CapExceededError, InvalidIndexSetError, NotMemberError, NotOnGridError
 from .matrices import EXHAUSTIVE_CAP, IndexSet, SymMatrix, is_grid_matrix
-from .membership import check_Um_bruteforce, principal_sums_by_mask, _mask_members
+from .membership import (
+    TOTAL_SUM_MISMATCH,
+    _check_cap,
+    _mask_members,
+    _verdict_from_sums,
+    principal_sums_by_mask,
+)
 
 
 @dataclass(frozen=True)
@@ -27,17 +33,51 @@ class SaturationReport:
     by_entry: dict
 
 
-def _require_member(A: SymMatrix, cap: int, verdict=None):
+def _family_from_sums(sums: list, L: int, m: int) -> list:
+    found = [
+        IndexSet(_mask_members(mask), m)
+        for mask in range(1, len(sums))
+        if sums[mask] == L * mask.bit_count()
+    ]
+    found.sort(key=IndexSet.sort_key)
+    return found
+
+
+def verdict_and_family(A: SymMatrix, cap: int = EXHAUSTIVE_CAP):
+    """Brute-force membership verdict and, for a member, its saturated
+    family (None for a non-member), both from one principal-sum pass."""
+    _check_cap(A.m, cap)
+    sums, L = principal_sums_by_mask(A.entries)
+    verdict = _verdict_from_sums(A, sums, L)
+    return verdict, _family_from_sums(sums, L, A.m) if verdict.member else None
+
+
+def _require_member(A: SymMatrix, cap: int, ambient="Um", verdict=None, family=None):
+    """Saturated family of a member of the ambient polytope; raise for a
+    non-member.
+
+    The verdict and the family may be precomputed by the caller; when the
+    verdict is missing both come from a single principal-sum pass.
+    """
     if A.m > cap:
         raise CapExceededError("order %d exceeds the exhaustive cap %d" % (A.m, cap))
     if verdict is None:
-        verdict = check_Um_bruteforce(A, cap=cap)
+        verdict, found = verdict_and_family(A, cap)
+        if family is None:
+            family = found
     if not verdict.member:
         raise NotMemberError(
             "matrix is not a polytope member; violating subset %s" % verdict.certificate,
             certificate=verdict.certificate,
         )
-    return verdict
+    if ambient == "UM" and verdict.total_sum != A.m:
+        raise NotMemberError(
+            "total sum %s differs from order %d" % (verdict.total_sum, A.m),
+            reason=TOTAL_SUM_MISMATCH,
+        )
+    if family is None:
+        family = enumerate_saturated(A)
+    return family
 
 
 def enumerate_saturated(A: SymMatrix):
@@ -46,21 +86,13 @@ def enumerate_saturated(A: SymMatrix):
     No membership check: callers that already hold a verdict use this
     directly; everyone else should go through saturated_sets().
     """
-    m = A.m
-    sums = principal_sums_by_mask(A.entries)
-    found = [
-        IndexSet(_mask_members(mask), m)
-        for mask in range(1, 1 << m)
-        if sums[mask] == mask.bit_count()
-    ]
-    found.sort(key=IndexSet.sort_key)
-    return found
+    sums, L = principal_sums_by_mask(A.entries)
+    return _family_from_sums(sums, L, A.m)
 
 
 def saturated_sets(A: SymMatrix, cap: int = EXHAUSTIVE_CAP, verdict=None):
     """All nonempty saturated index sets of a member matrix."""
-    _require_member(A, cap, verdict)
-    return enumerate_saturated(A)
+    return _require_member(A, cap, verdict=verdict)
 
 
 def _normalize_position(A: SymMatrix, i: int, j: int):
@@ -102,8 +134,7 @@ def min_sat_neighborhood(
     """
     i, j = _normalize_position(A, i, j)
     if family is None:
-        _require_member(A, cap)
-        family = enumerate_saturated(A)
+        family = _require_member(A, cap)
     return _min_over_family(family, i, j)
 
 
@@ -113,15 +144,13 @@ def max_sat_neighborhood(
     """Unique maximal saturated set containing {i, j}, or None (union closure)."""
     i, j = _normalize_position(A, i, j)
     if family is None:
-        _require_member(A, cap)
-        family = enumerate_saturated(A)
+        family = _require_member(A, cap)
     return _max_over_family(family, i, j)
 
 
 def saturation_report(A: SymMatrix, cap: int = EXHAUSTIVE_CAP) -> SaturationReport:
     """Saturated family plus min/max neighborhoods for every position i <= j."""
-    _require_member(A, cap)
-    family = enumerate_saturated(A)
+    family = _require_member(A, cap)
     by_entry = {}
     for i in range(1, A.m + 1):
         for j in range(i, A.m + 1):
@@ -135,6 +164,5 @@ def is_F_matrix(A: SymMatrix, cap: int = EXHAUSTIVE_CAP) -> bool:
     is the full set {1..m} (such matrices are never extreme for m >= 3)."""
     if not is_grid_matrix(A):
         raise NotOnGridError("entries must lie on the {0, 1/2, 1} grid")
-    _require_member(A, cap)
-    family = enumerate_saturated(A)
+    family = _require_member(A, cap)
     return len(family) == 1 and len(family[0]) == A.m

@@ -9,6 +9,8 @@ route.
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 import gdecomp as g
 
 HALF = Fraction(1, 2)
@@ -46,14 +48,39 @@ def naive_principal_sum(A, members):
     return sum(A.entry(i, j) for i in members for j in members)
 
 
-def naive_member(A):
-    """Membership by direct definition: every nonempty subset obeys its bound."""
+def naive_principal_sums(grid):
+    """Fraction principal sum of every bitmask (bit k is index k+1), summed
+    entry by entry over each mask's members; signed grids allowed."""
+    m = len(grid)
+    out = []
+    for mask in range(1 << m):
+        members = [k for k in range(m) if mask >> k & 1]
+        out.append(sum(Fraction(grid[i][j]) for i in members for j in members))
+    return out
+
+
+def naive_min_margin(A):
+    """min over nonempty alpha of |alpha| - S(alpha), by direct definition."""
+    return min(
+        size - naive_principal_sum(A, combo)
+        for size in range(1, A.m + 1)
+        for combo in combinations(range(1, A.m + 1), size)
+    )
+
+
+def naive_certificate(A):
+    """First violating subset in (cardinality, lexicographic) order, or None."""
     indices = range(1, A.m + 1)
     for size in range(1, A.m + 1):
         for combo in combinations(indices, size):
             if naive_principal_sum(A, combo) > size:
-                return False
-    return True
+                return frozenset(combo)
+    return None
+
+
+def naive_member(A):
+    """Membership by direct definition: every nonempty subset obeys its bound."""
+    return naive_certificate(A) is None
 
 
 def naive_saturated_sets(A):
@@ -68,3 +95,15 @@ def naive_saturated_sets(A):
 
 def members_of(alpha):
     return sorted(alpha.members)
+
+
+@st.composite
+def off_grid_members(draw, max_m=6):
+    """(X + X^t)/2 with X substochastic: rows n_j / D with D >= sum of n_j."""
+    m = draw(st.integers(1, max_m))
+    X = []
+    for _ in range(m):
+        nums = draw(st.lists(st.integers(0, 6), min_size=m, max_size=m))
+        D = max(1, sum(nums) + draw(st.integers(0, 4)))
+        X.append([Fraction(n, D) for n in nums])
+    return g.SymMatrix([[(X[i][j] + X[j][i]) / 2 for j in range(m)] for i in range(m)])

@@ -249,6 +249,40 @@ class TestOperator:
         assert "no counterexample" in out
 
 
+class TestJsonBooleans:
+    # bool is an int subclass in Python; JSON true must not parse as 1
+    @pytest.mark.parametrize(
+        "text",
+        ['{"m": true, "entries": [[true]]}', '{"m": 1, "entries": [[true]]}'],
+    )
+    def test_matrix_parser_rejects_booleans(self, capsys, monkeypatch, text):
+        code, out, err = run(
+            capsys, ["check", "--set", "Um", "-"], stdin=text, monkeypatch=monkeypatch
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"m": true, "layers": [{"m": 1, "entries": [["1"]]}]}',
+            '{"m": 1, "layers": [{"m": true, "entries": [["1"]]}]}',
+            '{"m": 1, "layers": [{"m": 1, "entries": [[true]]}]}',
+        ],
+    )
+    def test_operator_parser_rejects_booleans(self, capsys, monkeypatch, text):
+        code, out, err = run(
+            capsys,
+            ["operator", "--check", "stochastic", "-"],
+            stdin=text,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+
 class TestVerify:
     def test_valid_x(self, capsys, tmp_path, m3_file):
         xfile = tmp_path / "x.txt"

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import assume, given
 
 import gdecomp as g
 from gdecomp import (
@@ -14,7 +15,14 @@ from gdecomp import (
     Permutation,
     SymMatrix,
 )
-from helpers import HALF, m3, n_cycle
+from helpers import (
+    HALF,
+    m3,
+    n_cycle,
+    naive_member,
+    naive_saturated_sets,
+    off_grid_members,
+)
 
 
 def half_pair():
@@ -136,6 +144,36 @@ class TestSplit:
                 for i in range(A.m)
             ]
             assert SymMatrix(averaged) == A
+
+    @given(off_grid_members(max_m=5))
+    def test_off_grid_split_takes_half_the_maximal_step(self, A):
+        # doubling the step stays feasible and makes a new constraint tight
+        # on at least one side: a 0/1 entry or a saturated set
+        assume(not g.is_extreme_criterion(A, "Um").extreme)
+        plus, minus, eps = g.split_nonextreme(A)
+
+        def tight(M):
+            entries = {
+                (i, j, M.entry(i, j))
+                for i in range(1, M.m + 1)
+                for j in range(i, M.m + 1)
+                if M.entry(i, j) in (0, 1)
+            }
+            return entries, set(naive_saturated_sets(M))
+
+        before_entries, before_sets = tight(A)
+        gained = False
+        for side in (plus, minus):
+            far = SymMatrix(
+                [
+                    [2 * side.entries[i][j] - A.entries[i][j] for j in range(A.m)]
+                    for i in range(A.m)
+                ]
+            )
+            assert naive_member(far)
+            entries, sets = tight(far)
+            gained |= not (entries <= before_entries and sets <= before_sets)
+        assert gained
 
     def test_mixed_duplicate_balances_coefficients(self):
         # all-halves matrix: {1,2} is saturated and is the minimal

@@ -1,12 +1,58 @@
+import math
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, strategies as st
 
 import gdecomp as g
 from gdecomp import CapExceededError, IndexSet, Permutation, SymMatrix
-from gdecomp.membership import TOTAL_SUM_MISMATCH
-from helpers import HALF, m3, n_cycle, naive_member, naive_principal_sum
+from gdecomp.membership import TOTAL_SUM_MISMATCH, principal_sums_by_mask
+from helpers import (
+    HALF,
+    m3,
+    n_cycle,
+    naive_certificate,
+    naive_member,
+    naive_min_margin,
+    naive_principal_sum,
+    naive_principal_sums,
+    off_grid_members,
+)
+
+# pairwise coprime, so the common denominator of a grid is a product of them
+DENOMINATORS = (1, 2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def signed_grids(draw, max_m=8):
+    m = draw(st.integers(0, max_m))
+    grid = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            value = Fraction(
+                draw(st.integers(-40, 40)), draw(st.sampled_from(DENOMINATORS))
+            )
+            grid[i][j] = grid[j][i] = value
+    return grid
+
+
+@st.composite
+def off_grid_non_members(draw):
+    """A member with one entry inside a chosen subset raised just past its bound."""
+    A = draw(off_grid_members())
+    alpha = sorted(
+        draw(st.sets(st.integers(1, A.m), min_size=1, max_size=A.m))
+    )
+    k = draw(st.sampled_from(alpha))
+    l = draw(st.sampled_from(alpha))
+    over = Fraction(1, draw(st.sampled_from(DENOMINATORS)))
+    delta = (len(alpha) - naive_principal_sum(A, alpha) + over) / (1 if k == l else 2)
+    grid = A.to_lists()
+    grid[k - 1][l - 1] += delta
+    if k != l:
+        grid[l - 1][k - 1] += delta
+    return SymMatrix(grid)
 
 
 class TestBruteForce:
@@ -122,3 +168,38 @@ class TestAgreementAndSoundness:
                     and g.check_Um_upper(B).member
                 ):
                     assert g.check_Um_upper(C).member
+
+
+class TestPrincipalSumKernel:
+    @given(signed_grids())
+    def test_matches_fraction_oracle_on_signed_rationals(self, grid):
+        sums, L = principal_sums_by_mask(grid)
+        assert L == math.lcm(1, *(v.denominator for row in grid for v in row))
+        assert all(type(s) is int for s in sums)
+        assert [Fraction(s, L) for s in sums] == naive_principal_sums(grid)
+
+
+def _assert_deciders_agree(A, expected_member):
+    brute = g.check_Um_bruteforce(A)
+    mincut = g.check_Um_mincut(A, exact_slack=True)
+    assert brute.member == mincut.member == expected_member == naive_member(A)
+    assert brute.slack == mincut.slack == naive_min_margin(A)
+    expected_cert = naive_certificate(A)
+    assert brute.certificate == (
+        None if expected_cert is None else IndexSet(expected_cert, A.m)
+    )
+    for verdict in (brute, mincut):
+        cert = verdict.certificate
+        assert (cert is None) == verdict.member
+        if cert is not None:
+            assert naive_principal_sum(A, cert) > len(cert)
+
+
+class TestOffGridAgreement:
+    @given(off_grid_members())
+    def test_deciders_agree_on_members(self, A):
+        _assert_deciders_agree(A, True)
+
+    @given(off_grid_non_members())
+    def test_deciders_agree_on_non_members(self, A):
+        _assert_deciders_agree(A, False)

@@ -156,3 +156,44 @@ class TestFMatrix:
                 continue
             if g.is_F_matrix(A):
                 assert g.is_half_grid_matrix(A)
+
+
+class TestOnePass:
+    """The membership verdict and the saturated family come from one
+    principal-sum table, not one table each."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import gdecomp.membership as membership
+
+        original = membership.principal_sums_by_mask
+        seen = []
+
+        def counting(grid):
+            seen.append(len(grid))
+            return original(grid)
+
+        for module in ("membership", "saturation", "extremity"):
+            monkeypatch.setattr("gdecomp.%s.principal_sums_by_mask" % module, counting)
+        return seen
+
+    def test_saturated_sets(self, calls):
+        g.saturated_sets(a6())
+        assert calls == [6]
+
+    def test_criterion_and_neighborhoods_verbs(self, calls, tmp_path):
+        from gdecomp.cli import main
+
+        assert g.is_extreme_criterion(m3(), "UM").extreme
+        path = tmp_path / "a6.txt"
+        path.write_text(g.serialize_matrix(a6()))
+        assert main(["extreme", "--ambient", "Um", str(path)]) == 0
+        assert main(["neighborhoods", "--i", "2", "--j", "3", str(path)]) == 0
+        assert calls == [3, 6, 6]
+
+    def test_grid_enumeration_and_scan(self, calls):
+        g.enumerate_extreme(2, "Um")
+        assert len(calls) == g.grid_size(2)
+        del calls[:]
+        g.conjecture_scan(2)
+        assert len(calls) == g.scan_grid_size(2)
